@@ -512,8 +512,10 @@ def write_calibration_snapshot(
     pool: Dict[str, ItemParameters],
     diagnostics: Optional[Dict[str, object]] = None,
 ) -> Path:
-    """Persist one versioned parameter snapshot (atomic enough: small
-    JSON, distinct filename per version)."""
+    """Persist one versioned parameter snapshot, atomically (a failed
+    write leaves no ``params-*.json`` a reader could pick up)."""
+    from repro.store.snapshots import write_atomic
+
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     target = path / f"params-{exam_id}-v{version}.json"
@@ -524,10 +526,7 @@ def write_calibration_snapshot(
         "parameters": parameters_to_record(pool),
         "diagnostics": diagnostics or {},
     }
-    target.write_text(
-        json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
-    )
-    return target
+    return write_atomic(target, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def list_calibration_snapshots(

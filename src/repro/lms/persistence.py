@@ -18,17 +18,17 @@ Restores re-anchor the clock: the snapshot records the writer's
 stored timestamps stay comparable and an in-progress sitting keeps
 ticking instead of jumping (``time.monotonic`` restarts every boot).
 
-Writes are **atomic**: the payload lands in a temporary file in the
-destination directory and is :func:`os.replace`-d into place, so a crash
-(or a killed snapshot thread) mid-write can never leave a truncated,
-unloadable state file behind — the previous snapshot survives intact.
+Writes are **atomic**: :func:`save_lms` goes through
+:func:`repro.store.snapshots.write_atomic`, so a crash mid-write can
+never leave a truncated, unloadable state file behind — the previous
+snapshot survives intact.  A :func:`save_lms` file boots ``serve
+--wal-dir`` as ``checkpoint-00000000000000000000.json`` in the WAL
+directory.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -45,6 +45,7 @@ from repro.lms.tracking import EventKind
 
 __all__ = [
     "save_lms",
+    "snapshot_text",
     "load_lms",
     "load_payload",
     "lms_from_payload",
@@ -74,44 +75,31 @@ def _scored_from_record(record: Dict[str, object]) -> ScoredResponse:
     )
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a same-directory temp + rename."""
-    directory = path.parent if str(path.parent) else Path(".")
-    handle, tmp_name = tempfile.mkstemp(
-        dir=str(directory), prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            stream.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-def save_lms(
-    lms: Lms, path: "str | Path", wal_lsn: Optional[int] = None
-) -> None:
-    """Write the LMS's durable state to a JSON file, atomically.
+def snapshot_text(lms: Lms, wal_lsn: Optional[int] = None) -> str:
+    """The LMS's durable state as snapshot-file JSON.
 
     The whole collection happens under :attr:`Lms.lock`, so a snapshot
     taken while server threads are mutating the LMS is a consistent
-    point-in-time view, and the temp-file + :func:`os.replace` dance
-    guarantees the file on disk is always a complete snapshot.
-
-    ``wal_lsn`` stamps the snapshot with the highest journal LSN it
-    covers — the checkpoint engine (:mod:`repro.store.checkpoint`)
-    passes it while holding the LMS lock, and recovery replays only
-    records past it.
+    point-in-time view.  ``wal_lsn`` stamps the snapshot with the
+    highest journal LSN it covers — the checkpoint engine
+    (:mod:`repro.store.checkpoint`) passes it while holding the LMS
+    lock, and recovery replays only records past it.
     """
     with lms.lock:
         payload = _collect_payload(lms)
         if wal_lsn is not None:
             payload["wal_lsn"] = int(wal_lsn)
-    _write_atomic(Path(path), json.dumps(payload, indent=2))
+    return json.dumps(payload, indent=2)
+
+
+def save_lms(
+    lms: Lms, path: "str | Path", wal_lsn: Optional[int] = None
+) -> None:
+    """Write :func:`snapshot_text` to a JSON file, atomically and
+    durably (:func:`repro.store.snapshots.write_atomic`)."""
+    from repro.store.snapshots import write_atomic
+
+    write_atomic(path, snapshot_text(lms, wal_lsn))
 
 
 def _collect_payload(lms: Lms) -> Dict[str, object]:

@@ -25,7 +25,6 @@ apply whenever encountered below the LSN bound.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -33,83 +32,50 @@ from repro import obs
 from repro.core.errors import StoreError
 from repro.readmodel.model import ReadModel
 from repro.store.events import event_timestamp
-from repro.store.journal import read_records, segment_files, segment_first_lsn
+from repro.store.journal import read_records
+from repro.store.snapshots import READMODEL_PREFIX, SnapshotFiles, check_covered
 
 __all__ = [
     "readmodel_files",
     "latest_readmodel_checkpoint",
     "save_readmodel",
     "load_readmodel",
+    "resume_readmodel",
     "rebuild",
     "as_of",
 ]
 
-_READMODEL_PREFIX = "readmodel-"
-_READMODEL_SUFFIX = ".json"
 
-
-def _readmodel_name(applied_lsn: int) -> str:
-    return f"{_READMODEL_PREFIX}{applied_lsn:020d}{_READMODEL_SUFFIX}"
-
-
-def _readmodel_lsn(path: Path) -> int:
-    stem = path.name[len(_READMODEL_PREFIX):-len(_READMODEL_SUFFIX)]
-    try:
-        return int(stem)
-    except ValueError:
-        raise StoreError(
-            f"not a read-model checkpoint name: {path.name}"
-        ) from None
+def _files(directory: "str | Path") -> SnapshotFiles:
+    return SnapshotFiles(directory, READMODEL_PREFIX)
 
 
 def readmodel_files(directory: "str | Path") -> List[Path]:
     """Every read-model checkpoint in the directory, oldest first."""
-    base = Path(directory)
-    if not base.is_dir():
-        return []
-    found = [
-        path
-        for path in base.iterdir()
-        if path.name.startswith(_READMODEL_PREFIX)
-        and path.name.endswith(_READMODEL_SUFFIX)
-    ]
-    return sorted(found, key=_readmodel_lsn)
+    return _files(directory).list()
 
 
 def latest_readmodel_checkpoint(
     directory: "str | Path", at_or_below: Optional[int] = None
 ) -> Optional[Path]:
     """The newest checkpoint (optionally at or below an LSN), or None."""
-    best: Optional[Path] = None
-    for path in readmodel_files(directory):
-        if at_or_below is not None and _readmodel_lsn(path) > at_or_below:
-            break
-        best = path
-    return best
+    return _files(directory).newest(at_or_below)
 
 
 def save_readmodel(
     model: ReadModel, directory: "str | Path", *, keep: int = 2
 ) -> Path:
-    """Write the model's snapshot atomically; prune old checkpoints.
+    """Write the model's snapshot durably; prune old checkpoints.
 
     ``keep`` newest files are retained (mirroring the LMS checkpointer's
     retention) so one corrupt file never strands the follower.
     """
-    if keep < 1:
-        raise StoreError(f"must keep at least 1 checkpoint, got {keep}")
-    base = Path(directory)
-    base.mkdir(parents=True, exist_ok=True)
-    path = base / _readmodel_name(model.applied_lsn)
-    payload = json.dumps(model.snapshot(), separators=(",", ":"))
-    tmp = path.with_suffix(".tmp")
-    with tmp.open("w", encoding="utf-8") as stream:
-        stream.write(payload)
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(tmp, path)
-    for old in readmodel_files(base)[:-keep]:
-        old.unlink()
+    files = _files(directory)
+    path = files.write(
+        model.applied_lsn,
+        json.dumps(model.snapshot(), separators=(",", ":")),
+    )
+    files.prune(keep)
     obs.count("readmodel.checkpoints")
     return path
 
@@ -119,12 +85,34 @@ def load_readmodel(path: "str | Path") -> ReadModel:
     with Path(path).open("r", encoding="utf-8") as stream:
         document = json.load(stream)
     model = ReadModel.from_snapshot(document)
-    if model.applied_lsn != _readmodel_lsn(Path(path)):
+    named = _files(Path(path).parent).lsn(path)
+    if model.applied_lsn != named:
         raise StoreError(
-            f"checkpoint {Path(path).name} claims lsn "
-            f"{_readmodel_lsn(Path(path))} but holds {model.applied_lsn}"
+            f"checkpoint {Path(path).name} claims lsn {named} but holds "
+            f"{model.applied_lsn}"
         )
     return model
+
+
+def resume_readmodel(
+    directory: "str | Path",
+    lsn: Optional[int] = None,
+    ts: Optional[float] = None,
+) -> ReadModel:
+    """The newest intact checkpoint the surviving WAL continues, or an
+    empty model when the WAL starts at LSN 1; :class:`StoreError` names
+    the records nothing covers.
+
+    ``lsn`` bounds the checkpoint's LSN; ``ts`` picks by the stamp
+    *inside* the snapshot — its last timed event must be at or below T.
+    """
+
+    def load(path: Path) -> Optional[ReadModel]:
+        model = load_readmodel(path)
+        return model if ts is None or model.last_event_ts <= ts else None
+
+    _, model = _files(directory).load(load, at_or_below=lsn)
+    return model if model is not None else ReadModel()
 
 
 def rebuild(directory: "str | Path") -> ReadModel:
@@ -135,18 +123,14 @@ def rebuild(directory: "str | Path") -> ReadModel:
     :class:`StoreError` when compaction already retired the journal's
     head — a rebuild from 0 would silently miss history, so it refuses.
     """
-    base = Path(directory)
-    segments = segment_files(base)
-    if segments and segment_first_lsn(segments[0]) > 1:
-        raise StoreError(
-            f"cannot rebuild from lsn 0: records 1.."
-            f"{segment_first_lsn(segments[0]) - 1} were retired by "
-            f"checkpoint compaction (oldest surviving segment is "
-            f"{segments[0].name}); use a read-model checkpoint instead"
-        )
+    check_covered(
+        directory, 0,
+        "a rebuild from lsn 0 cannot see them; use a read-model "
+        "checkpoint (as_of) instead",
+    )
     model = ReadModel()
     with obs.span("readmodel.rebuild"):
-        model.apply_all(read_records(base))
+        model.apply_all(read_records(directory))
     return model
 
 
@@ -166,31 +150,10 @@ def as_of(
     """
     if (lsn is None) == (ts is None):
         raise StoreError("as_of needs exactly one of lsn= or ts=")
-    base = Path(directory)
-    checkpoint = latest_readmodel_checkpoint(base, at_or_below=lsn)
-    if checkpoint is not None and ts is not None:
-        # timestamp targets pick by the stamp *inside* the snapshot:
-        # the newest checkpoint whose last timed event is at or below T
-        checkpoint = None
-        for path in readmodel_files(base):
-            with path.open("r", encoding="utf-8") as stream:
-                document = json.load(stream)
-            if float(document.get("last_event_ts", 0.0)) <= ts:
-                checkpoint = path
-            else:
-                break
-    model = load_readmodel(checkpoint) if checkpoint else ReadModel()
-    segments = segment_files(base)
-    if segments and segment_first_lsn(segments[0]) > model.applied_lsn + 1:
-        raise StoreError(
-            f"records {model.applied_lsn + 1}.."
-            f"{segment_first_lsn(segments[0]) - 1} were retired and no "
-            f"read-model checkpoint covers them; checkpoint the read "
-            f"model before compacting"
-        )
+    model = resume_readmodel(directory, lsn=lsn, ts=ts)
     replayed = 0
     with obs.span("readmodel.as_of"):
-        for record in read_records(base, start_lsn=model.applied_lsn):
+        for record in read_records(directory, start_lsn=model.applied_lsn):
             if lsn is not None and record.lsn > lsn:
                 break
             if ts is not None:

@@ -8,13 +8,15 @@ answering — a cheap catch-up of whatever delta accumulated since the
 last poll — which gives read-your-writes consistency in the serving
 process while keeping every query O(aggregate), not O(history).
 
-Restart resumes from the newest ``readmodel-*.json`` checkpoint in the
-WAL directory and replays only the suffix.  If compaction ever retires
-records past the follower's position (it cannot in-process — the server
-syncs the read model *before* the LMS checkpointer compacts — but an
-external follower can race an external compactor), the tailer raises
-:class:`~repro.store.tail.TailTruncatedError` and the service restarts
-itself from the newest checkpoint rather than serving a silent gap.
+Restart resumes from the newest intact ``readmodel-*.json`` checkpoint
+the surviving WAL continues (:func:`~repro.readmodel.checkpoint.
+resume_readmodel`) and replays only the suffix.  If compaction ever
+retires records past the follower's position (it cannot in-process —
+the server syncs the read model *before* the LMS checkpointer compacts
+— but an external follower can race an external compactor), the tailer
+raises :class:`~repro.store.tail.TailTruncatedError` and the service
+restarts itself from the newest checkpoint rather than serving a silent
+gap.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from typing import Dict, Optional
 
 from repro import obs
 from repro.core.errors import StoreError
-from repro.readmodel.checkpoint import (
-    latest_readmodel_checkpoint,
-    load_readmodel,
-    save_readmodel,
-)
-from repro.readmodel.model import ReadModel
+from repro.readmodel.checkpoint import resume_readmodel, save_readmodel
 from repro.store.tail import JournalTailer, TailTruncatedError
 
 __all__ = ["ReadModelService", "DEFAULT_POLL_INTERVAL"]
@@ -47,14 +44,12 @@ class ReadModelService:
         directory: "str | Path",
         journal=None,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
-        checkpoint_keep: int = 2,
     ) -> None:
         self.directory = Path(directory)
         self.journal = journal
         self.poll_interval = float(poll_interval)
-        self.checkpoint_keep = int(checkpoint_keep)
         self.lock = threading.RLock()
-        self.model = self._resume()
+        self.model = resume_readmodel(self.directory)
         self._tailer = JournalTailer(
             self.directory,
             start_lsn=self.model.applied_lsn,
@@ -64,20 +59,6 @@ class ReadModelService:
         self._thread: Optional[threading.Thread] = None
         self.restarts = 0
         self.checkpoints_taken = 0
-
-    def _resume(self) -> ReadModel:
-        path = latest_readmodel_checkpoint(self.directory)
-        if path is None:
-            return ReadModel()
-        try:
-            model = load_readmodel(path)
-        except (StoreError, ValueError, OSError):
-            # a torn/corrupt checkpoint must not strand the follower;
-            # fold from the journal head instead
-            obs.count("readmodel.checkpoint.unreadable")
-            return ReadModel()
-        obs.count("readmodel.resumes")
-        return model
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -130,7 +111,7 @@ class ReadModelService:
         """Re-anchor after compaction ran ahead of the follower."""
         self.restarts += 1
         obs.count("readmodel.follower.restarts")
-        self.model = self._resume()
+        self.model = resume_readmodel(self.directory)
         self._tailer = JournalTailer(
             self.directory,
             start_lsn=self.model.applied_lsn,
@@ -141,9 +122,7 @@ class ReadModelService:
         """Sync to the tip, then persist the fold state."""
         with self.lock:
             self.sync()
-            path = save_readmodel(
-                self.model, self.directory, keep=self.checkpoint_keep
-            )
+            path = save_readmodel(self.model, self.directory)
             self.checkpoints_taken += 1
         return path
 

@@ -8,7 +8,7 @@ package is that serving layer, dependency-free (stdlib ``http.server``):
   one :class:`~repro.lms.lms.Lms`: offerings, enrollment, the full
   sitting lifecycle, live analysis, reports, and monitor metrics, with
   per-route observability, bounded-queue backpressure, graceful
-  drain, and atomic state snapshots;
+  drain, and (with a WAL directory) durable journaling and checkpoints;
 * :mod:`~repro.server.loadgen` — a load-generation client that drives
   seeded simulated cohorts (the :mod:`repro.sim` learner and
   response-time models) through the HTTP API concurrently and reports

@@ -2,7 +2,7 @@
 
 A write-ahead log grows without bound; the checkpoint engine bounds it.
 :meth:`Checkpointer.checkpoint` writes a consistent LMS snapshot
-(:func:`repro.lms.persistence.save_lms`, which includes in-flight
+(:func:`repro.lms.persistence.snapshot_text`, which includes in-flight
 sittings — a checkpoint must never truncate a learner mid-exam) stamped
 with the highest LSN it covers, seals the active segment, and then
 **retires** every sealed segment whose records are all ``<=`` that LSN.
@@ -14,11 +14,15 @@ replay from every checkpoint a run produced and assert convergence.
 The LSN is read and the snapshot collected in one critical section on
 :attr:`Lms.lock` — the same lock every mutator appends under — so a
 snapshot covers *exactly* the records up to its stamp, never a torn
-prefix of a mutation.
+prefix of a mutation.  The file is written after the lock is released,
+durably (:func:`repro.store.snapshots.write_atomic`), and only then are
+segments retired: a crash mid-write leaves the old checkpoint and every
+segment it needs.
 
-Snapshots are named ``checkpoint-<lsn>.json`` next to the WAL segments;
-the newest ``keep`` (default 2) are retained so one corrupted snapshot
-file never strands a deployment.
+Snapshots are ``checkpoint-<lsn>.json`` files next to the WAL segments
+(:class:`repro.store.snapshots.SnapshotFiles`); the newest ``keep``
+(default 2) are retained, and recovery falls back to the older one when
+the newest does not read back.
 
 Compaction is wire-format agnostic: segments are retired by the LSN in
 their *name*, so after a mid-stream upgrade (JSONL v1 tail sealed,
@@ -35,6 +39,7 @@ from typing import List, Optional
 
 from repro import obs
 from repro.core.errors import StoreError
+from repro.store.snapshots import LMS_PREFIX, SnapshotFiles
 
 __all__ = [
     "Checkpointer",
@@ -43,40 +48,15 @@ __all__ = [
     "latest_checkpoint",
 ]
 
-_CHECKPOINT_PREFIX = "checkpoint-"
-_CHECKPOINT_SUFFIX = ".json"
-
-
-def _checkpoint_name(covered_lsn: int) -> str:
-    return f"{_CHECKPOINT_PREFIX}{covered_lsn:020d}{_CHECKPOINT_SUFFIX}"
-
-
-def _checkpoint_lsn(path: Path) -> int:
-    stem = path.name[len(_CHECKPOINT_PREFIX):-len(_CHECKPOINT_SUFFIX)]
-    try:
-        return int(stem)
-    except ValueError:
-        raise StoreError(f"not a checkpoint name: {path.name}") from None
-
 
 def checkpoint_files(directory: "str | Path") -> List[Path]:
     """Every checkpoint snapshot in the directory, oldest first."""
-    base = Path(directory)
-    if not base.is_dir():
-        return []
-    found = [
-        path
-        for path in base.iterdir()
-        if path.name.startswith(_CHECKPOINT_PREFIX)
-        and path.name.endswith(_CHECKPOINT_SUFFIX)
-    ]
-    return sorted(found, key=_checkpoint_lsn)
+    return SnapshotFiles(directory, LMS_PREFIX).list()
 
 
 def latest_checkpoint(directory: "str | Path") -> Optional[Path]:
     """The newest checkpoint snapshot, or None when none exists."""
-    files = checkpoint_files(directory)
-    return files[-1] if files else None
+    return SnapshotFiles(directory, LMS_PREFIX).newest()
 
 
 @dataclass
@@ -108,8 +88,9 @@ class Checkpointer:
             raise StoreError(f"must keep at least 1 checkpoint, got {keep}")
         self.lms = lms
         self.journal = journal
-        self.directory = (
-            Path(directory) if directory is not None else journal.directory
+        self.files = SnapshotFiles(
+            directory if directory is not None else journal.directory,
+            LMS_PREFIX,
         )
         self.keep = int(keep)
         self.checkpoints_taken = 0
@@ -118,22 +99,25 @@ class Checkpointer:
 
     def checkpoint(self) -> CheckpointResult:
         """Snapshot now, then retire covered segments and old snapshots."""
-        from repro.lms.persistence import save_lms
+        from repro.lms.persistence import snapshot_text
 
         with obs.span("store.checkpoint"):
-            self.directory.mkdir(parents=True, exist_ok=True)
             # one critical section: the LSN stamp and the state snapshot
             # see the same instant, so the snapshot covers exactly the
             # records up to `covered`
             with self.lms.lock:
                 covered = self.journal.last_lsn
-                path = self.directory / _checkpoint_name(covered)
-                save_lms(self.lms, path, wal_lsn=covered)
+                text = snapshot_text(self.lms, wal_lsn=covered)
+            # the disk write runs outside the lock; nothing below may
+            # delete history until it has returned durable
+            path = self.files.write(covered, text)
             # seal the active segment so the *next* checkpoint can
             # retire everything written up to this one
             self.journal.rotate()
             retired = self.journal.retire_covered(covered)
-            pruned = self._prune()
+            pruned = self.files.prune(self.keep)
+            if pruned:
+                obs.count("store.checkpoints.pruned", len(pruned))
             self.checkpoints_taken += 1
             self.last_covered_lsn = max(self.last_covered_lsn, covered)
         obs.count("store.checkpoints")
@@ -155,13 +139,3 @@ class Checkpointer:
         if self.journal.last_lsn - self.last_covered_lsn < min_new_records:
             return None
         return self.checkpoint()
-
-    def _prune(self) -> List[Path]:
-        files = checkpoint_files(self.directory)
-        pruned: List[Path] = []
-        for path in files[: -self.keep]:
-            path.unlink()
-            pruned.append(path)
-        if pruned:
-            obs.count("store.checkpoints.pruned", len(pruned))
-        return pruned

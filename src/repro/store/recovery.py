@@ -1,18 +1,19 @@
 """Crash recovery: checkpoint + WAL suffix → the LMS that crashed.
 
 :func:`recover` rebuilds an :class:`~repro.lms.lms.Lms` from a directory
-of durable state: load the newest snapshot (if any), then replay every
-journal record past the snapshot's covered LSN **through the same public
-LMS mutators a live client drove** (:func:`repro.store.events.
-apply_event`).  Replay is not a parallel deserializer that can drift
+of durable state: load the newest intact snapshot the surviving WAL
+continues (:meth:`repro.store.snapshots.SnapshotFiles.load`), then
+replay every journal record past the snapshot's covered LSN **through
+the same public LMS mutators a live client drove**
+(:func:`repro.store.events.apply_event`).  Replay is not a parallel deserializer that can drift
 from the live code path; it *is* the live code path, re-run under a
 :class:`ReplayClock` pinned to each event's recorded timestamp — so the
 recovered state is bit-identical to the pre-crash LMS (the differential
 property tests in ``tests/store/`` assert exactly this via
 :func:`state_fingerprint`).
 
-Idempotence / dedup: records with ``lsn <=`` the snapshot's ``wal_lsn``
-are already folded into the snapshot and are skipped, so recovering
+Idempotence / dedup: records with ``lsn <=`` the LSN in the snapshot's
+name are already folded into the snapshot and are skipped, so recovering
 from any checkpoint plus the remaining WAL suffix converges on the same
 state — the invariant that makes compaction
 (:mod:`repro.store.checkpoint`) safe.
@@ -33,6 +34,7 @@ from typing import Dict, List, Optional
 
 from repro.store import events as store_events
 from repro.store.journal import scan_segment, segment_files
+from repro.store.snapshots import LMS_PREFIX, SnapshotFiles
 
 __all__ = ["ReplayClock", "RecoveryReport", "recover", "state_fingerprint"]
 
@@ -135,22 +137,31 @@ def recover(
     # facade precisely so repro.lms ←→ repro.store stays acyclic
     from repro.lms.lms import Lms
     from repro.lms.persistence import load_payload, lms_from_payload
-    from repro.store.checkpoint import latest_checkpoint
 
     wal_path = Path(wal_dir)
-    checkpoint_path = latest_checkpoint(
-        Path(checkpoint_dir) if checkpoint_dir is not None else wal_path
+    files = SnapshotFiles(
+        Path(checkpoint_dir) if checkpoint_dir is not None else wal_path,
+        LMS_PREFIX,
     )
-    clock = ReplayClock()
-    if checkpoint_path is not None:
-        payload = load_payload(checkpoint_path)
-        checkpoint_lsn = int(payload.get("wal_lsn", 0))
+
+    def load(path: Path):
+        payload = load_payload(path)
+        # a fresh clock per candidate: a passed-over newer file must
+        # not leave its anchor pinned
+        clock = ReplayClock()
         anchor = payload.get("clock")
         if isinstance(anchor, (int, float)):
             clock.pin(float(anchor))
-        lms = lms_from_payload(payload, clock=clock)
+        return lms_from_payload(payload, clock=clock), clock
+
+    checkpoint_path, loaded = files.load(load, wal_dir=wal_path)
+    if loaded is not None:
+        # the name's LSN, not the payload's wal_lsn: a save_lms file
+        # migrated in as checkpoint-0 covers none of this log
+        checkpoint_lsn = files.lsn(checkpoint_path)
+        lms, clock = loaded
     else:
-        checkpoint_lsn = 0
+        checkpoint_lsn, clock = 0, ReplayClock()
         lms = Lms(clock=clock)
     report = RecoveryReport(
         lms=lms,

@@ -267,6 +267,42 @@ class TestCalibrationSnapshots:
         with pytest.raises(EstimationError, match="format"):
             latest_calibration_snapshot(tmp_path, "ex")
 
+    def test_failed_write_leaves_no_partial_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.lms.lms import Lms
+        from repro.server.app import ExamServer
+        from repro.store import snapshots
+
+        calibration_dir = tmp_path / "calibration"
+        write_calibration_snapshot(
+            calibration_dir, "adaptive-1", 1, random_pool(seed=1)
+        )
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(snapshots.os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            write_calibration_snapshot(
+                calibration_dir, "adaptive-1", 2, random_pool(seed=2)
+            )
+        monkeypatch.undo()
+        # no v2 file and no temp debris: nothing a reader could pick up
+        assert [p.name for p in calibration_dir.iterdir()] == [
+            "params-adaptive-1-v1.json"
+        ]
+        assert latest_calibration_snapshot(calibration_dir, "adaptive-1")[
+            0
+        ] == 1
+        # the boot-time reload sees the intact v1 only
+        lms = Lms()
+        lms.offer_exam(
+            build_exam(adaptive=AdaptivePolicy(max_items=2, min_items=1))
+        )
+        with ExamServer(lms, wal_dir=tmp_path):
+            assert lms.calibration_version("adaptive-1") == 1
+
 
 class TestCollectCalibrationMatrix:
     def test_missing_cells_are_none_not_wrong(self):

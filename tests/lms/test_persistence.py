@@ -330,14 +330,14 @@ class TestAtomicWrite:
     def test_replace_failure_cleans_up_the_temp_file(
         self, tmp_path, monkeypatch
     ):
-        from repro.lms import persistence
+        from repro.store import snapshots
 
         def boom(src, dst):
             raise OSError("disk on fire")
 
-        monkeypatch.setattr(persistence.os, "replace", boom)
+        monkeypatch.setattr(snapshots.os, "replace", boom)
         with pytest.raises(OSError, match="disk on fire"):
-            persistence._write_atomic(tmp_path / "x.json", "{}")
+            save_lms(busy_lms(), tmp_path / "x.json")
         assert list(tmp_path.iterdir()) == []
 
     def test_save_into_current_directory_path(self, tmp_path, monkeypatch):

@@ -121,6 +121,40 @@ class TestResume:
         assert service.model.exam("ex1").submits == 1
         journal.close()
 
+    def test_torn_newest_checkpoint_after_compaction_falls_back(
+        self, tmp_path
+    ):
+        """The server's checkpoint pass (sync, LMS checkpoint + compact,
+        read-model checkpoint) twice, then the newest read-model file
+        torn: the older one plus the surviving segments still hold
+        every record, so a new follower reaches the tip."""
+        from repro.store import Checkpointer, segment_files, segment_first_lsn
+
+        journal = Journal.open(tmp_path, fsync="never")
+        lms, clock = journaled_lms(journal)
+        enroll_cohort(lms, ["amy", "bob", "cal"])
+        follower = ReadModelService(tmp_path, journal=journal)
+        checkpointer = Checkpointer(lms, journal)
+        written = []
+        for learner_id in ("amy", "bob"):
+            sit(lms, clock, learner_id)
+            follower.sync()
+            checkpointer.checkpoint()
+            written.append(follower.checkpoint())
+        sit(lms, clock, "cal")
+        journal.sync()
+        assert segment_first_lsn(segment_files(tmp_path)[0]) > 1
+        newest = written[-1]
+        newest.write_bytes(newest.read_bytes()[: newest.stat().st_size // 2])
+        fresh = ReadModelService(tmp_path, journal=journal)
+        assert fresh.model.applied_lsn == segment_first_lsn(
+            segment_files(tmp_path)[0]
+        ) - 1
+        fresh.sync()
+        assert fresh.model.applied_lsn == journal.last_lsn
+        assert fresh.model.exam("ex1").submits == 3
+        journal.close()
+
     def test_truncation_ahead_restarts_from_checkpoint(self, tmp_path):
         """An external compactor retiring records past a stale
         follower's position forces a restart from the newest read-model

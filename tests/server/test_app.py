@@ -16,9 +16,9 @@ import pytest
 from repro.bank.exambank import exam_to_record
 from repro.lms.learners import Learner
 from repro.lms.lms import Lms
-from repro.lms.persistence import load_lms
 from repro.server.app import ExamServer
 from repro.sim.workloads import classroom_exam
+from repro.store import checkpoint_files, recover
 
 EXAM_ID = "classroom-mid"
 QUESTIONS = 4
@@ -485,49 +485,51 @@ class TestGracefulShutdown:
             server.shutdown()
 
 
-class TestSnapshotting:
-    def test_admin_snapshot_writes_state(self, tmp_path):
-        path = tmp_path / "state.json"
-        with ExamServer(seeded_lms(), snapshot_path=path) as server:
-            client = Client(server)
-            try:
-                status, payload, _ = client.post("/admin/snapshot")
-                assert status == 200
-                assert payload["snapshot"] == str(path)
-            finally:
-                client.close()
-        restored = load_lms(path)
-        assert restored.offered_exams() == [EXAM_ID]
-        assert sorted(restored.learners.ids()) == ["amy", "bob"]
+class TestCheckpointing:
+    """``wal_dir`` is the one persistence mode: the journal plus its
+    checkpoints, taken at shutdown and on the checkpoint timer."""
 
-    def test_admin_snapshot_without_path_409(self, client):
-        status, payload, _ = client.post("/admin/snapshot")
-        assert status == 409
-        assert payload["error"]["code"] == "invalid_state"
-
-    def test_shutdown_takes_final_snapshot(self, tmp_path):
-        path = tmp_path / "state.json"
-        server = ExamServer(seeded_lms(), snapshot_path=path).start()
+    def test_shutdown_takes_final_checkpoint(self, tmp_path):
+        server = ExamServer(seeded_lms(), wal_dir=tmp_path).start()
         client = Client(server)
         try:
             client.post("/learners", body={"learner_id": "zoe"})
         finally:
             client.close()
         server.shutdown()
-        assert "zoe" in load_lms(path).learners.ids()
+        assert server.journal.last_lsn > 0
+        report = recover(tmp_path)
+        assert report.checkpoint_lsn == server.journal.last_lsn
+        assert report.records_replayed == 0
+        assert "zoe" in report.lms.learners.ids()
+        assert report.lms.offered_exams() == [EXAM_ID]
 
-    def test_periodic_snapshots(self, tmp_path):
-        path = tmp_path / "state.json"
+    def test_periodic_checkpoints(self, tmp_path):
         server = ExamServer(
-            seeded_lms(),
-            snapshot_path=path,
-            snapshot_interval_seconds=0.05,
+            seeded_lms(), wal_dir=tmp_path, checkpoint_interval_seconds=0.05
         ).start()
         try:
+            # an empty log is quiet: no checkpoint however many beats
+            time.sleep(0.3)
+            assert checkpoint_files(tmp_path) == []
+            client = Client(server)
+            try:
+                client.post("/learners", body={"learner_id": "zoe"})
+            finally:
+                client.close()
+            grown = server.journal.last_lsn
             deadline = time.time() + 5
-            while not path.exists():
-                assert time.time() < deadline, "no periodic snapshot"
+            while server.checkpointer.last_covered_lsn < grown:
+                assert time.time() < deadline, "no periodic checkpoint"
                 time.sleep(0.01)
+            taken = server.checkpointer.checkpoints_taken
+            # quiet again: the next beats write nothing
+            time.sleep(0.3)
+            assert server.checkpointer.checkpoints_taken == taken
+            assert len(checkpoint_files(tmp_path)) == taken
         finally:
             server.shutdown()
-        assert load_lms(path).offered_exams() == [EXAM_ID]
+
+    def test_admin_snapshot_route_is_gone(self, client):
+        status, payload, _ = client.post("/admin/snapshot")
+        assert status == 404

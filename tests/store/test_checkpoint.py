@@ -5,8 +5,16 @@ The load-bearing property: compaction bounds disk while recovery from
 state.
 """
 
+import os
+import stat
+import threading
+from pathlib import Path
+
+import pytest
+
 from conftest import enroll_cohort, journaled_lms
 
+from repro.core.errors import StoreError
 from repro.lms.learners import Learner
 from repro.store import (
     Checkpointer,
@@ -16,7 +24,7 @@ from repro.store import (
     recover,
     state_fingerprint,
 )
-from repro.store.journal import segment_files
+from repro.store.journal import segment_files, segment_first_lsn
 
 
 def drive_sittings(lms, clock, learner_ids, answers=("A", "B", "A")):
@@ -153,4 +161,140 @@ class TestCompaction:
             "q1",
             "q2",
         ]
+        journal.close()
+
+
+def tear(path):
+    """Cut a snapshot file in half, as a crash mid-write would."""
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+class TestFallback:
+    def test_torn_newest_checkpoint_falls_back_to_the_older(self, tmp_path):
+        journal = Journal.open(tmp_path, fsync="never")
+        lms, clock = journaled_lms(journal)
+        enroll_cohort(lms, ["amy", "bob", "cal"])
+        checkpointer = Checkpointer(lms, journal, keep=2)
+        drive_sittings(lms, clock, ["amy"])
+        first = checkpointer.checkpoint()
+        drive_sittings(lms, clock, ["bob"])
+        second = checkpointer.checkpoint()
+        # an uncovered suffix past the newest checkpoint as well
+        drive_sittings(lms, clock, ["cal"])
+        journal.sync()
+        tear(second.path)
+        report = recover(tmp_path)
+        assert report.checkpoint_path == first.path
+        assert state_fingerprint(report.lms) == state_fingerprint(lms)
+        journal.close()
+
+    def test_retired_records_no_checkpoint_covers_raise(self, tmp_path):
+        journal = Journal.open(tmp_path, fsync="never", segment_bytes=256)
+        lms, clock = journaled_lms(journal)
+        enroll_cohort(lms, ["amy", "bob", "cal", "dee"])
+        checkpointer = Checkpointer(lms, journal, keep=2)
+        first = checkpointer.checkpoint()
+        # size rotation seals several segments past the first
+        # checkpoint; the second checkpoint retires all of them
+        drive_sittings(lms, clock, ["amy", "bob", "cal", "dee"])
+        second = checkpointer.checkpoint()
+        oldest = segment_first_lsn(segment_files(tmp_path)[0])
+        assert oldest > first.covered_lsn + 1
+        journal.close()
+        tear(second.path)
+        with pytest.raises(
+            StoreError,
+            match=rf"records {first.covered_lsn + 1}\.\.{oldest - 1} ",
+        ):
+            recover(tmp_path)
+
+
+class TestDurableOrder:
+    """The checkpoint file is durable before the WAL it covers goes."""
+
+    @staticmethod
+    def record_os_calls(monkeypatch, calls, fail_replace=False):
+        real_fsync, real_replace, real_unlink = (
+            os.fsync, os.replace, Path.unlink,
+        )
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            calls.append(("fsync", kind))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            if fail_replace:
+                raise OSError("rename failed")
+            calls.append(("replace", Path(dst).name))
+            real_replace(src, dst)
+
+        def unlink(path, *args, **kwargs):
+            calls.append(("unlink", path.name))
+            real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(Path, "unlink", unlink)
+
+    def prepared(self, tmp_path):
+        journal = Journal.open(tmp_path, fsync="never")
+        lms, clock = journaled_lms(journal)
+        enroll_cohort(lms, ["amy", "bob"])
+        checkpointer = Checkpointer(lms, journal, keep=2)
+        first = checkpointer.checkpoint()
+        drive_sittings(lms, clock, ["amy"])
+        return journal, lms, checkpointer, first
+
+    def test_fsync_replace_fsync_dir_then_unlink(self, tmp_path, monkeypatch):
+        journal, lms, checkpointer, first = self.prepared(tmp_path)
+        calls = []
+        self.record_os_calls(monkeypatch, calls)
+        writing_without_lock = []
+        real_write = checkpointer.files.write
+
+        def write(lsn, text):
+            # another thread can take the LMS lock while the file is
+            # written: the disk write runs outside the critical section
+            def take_lock():
+                with lms.lock:
+                    pass
+
+            probe = threading.Thread(target=take_lock)
+            probe.start()
+            probe.join(timeout=5)
+            writing_without_lock.append(not probe.is_alive())
+            return real_write(lsn, text)
+
+        checkpointer.files.write = write
+        result = checkpointer.checkpoint()
+        monkeypatch.undo()
+        assert writing_without_lock == [True]
+        assert result.retired_segments, "the pass must retire a segment"
+        assert calls == [
+            ("fsync", "file"),
+            ("replace", result.path.name),
+            ("fsync", "dir"),
+        ] + [("unlink", path.name) for path in result.retired_segments]
+        journal.close()
+
+    def test_failed_replace_keeps_segments_and_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        journal, lms, checkpointer, first = self.prepared(tmp_path)
+        journal.sync()
+        segments = segment_files(tmp_path)
+        previous = first.path.read_bytes()
+        self.record_os_calls(monkeypatch, [], fail_replace=True)
+        with pytest.raises(OSError, match="rename failed"):
+            checkpointer.checkpoint()
+        monkeypatch.undo()
+        assert segment_files(tmp_path) == segments
+        assert checkpoint_files(tmp_path) == [first.path]
+        assert first.path.read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [first.path.name] + [p.name for p in segments]
+        )
+        report = recover(tmp_path)
+        assert state_fingerprint(report.lms) == state_fingerprint(lms)
         journal.close()

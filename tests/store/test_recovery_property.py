@@ -11,20 +11,23 @@ mutations that succeeded — a recovered LMS must match regardless of how
 much garbage the caller threw at the live one.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_exam
 
-from repro.core.errors import AssessmentError
+from repro.core.errors import AssessmentError, StoreError
 from repro.delivery.clock import ManualClock
 from repro.lms.learners import Learner
 from repro.lms.lms import Lms
 from repro.store import (
     Checkpointer,
     Journal,
+    checkpoint_files,
     recover,
     segment_files,
+    segment_first_lsn,
     state_fingerprint,
 )
 
@@ -82,8 +85,11 @@ def apply_operation(lms, clock, checkpointer, op):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=st.lists(operations, min_size=0, max_size=40))
-def test_recovered_state_equals_live_state(tmp_path_factory, ops):
+@given(ops=st.lists(operations, min_size=0, max_size=40), tear=st.booleans())
+def test_recovered_state_equals_live_state(tmp_path_factory, ops, tear):
+    """Also with the newest checkpoint torn: recovery falls back to the
+    older one when the surviving segments continue it, and refuses
+    with a StoreError when records in between were retired."""
     wal_dir = tmp_path_factory.mktemp("wal")
     journal = Journal.open(wal_dir, fsync="never", segment_bytes=2048)
     clock = ManualClock(100.0)
@@ -93,6 +99,18 @@ def test_recovered_state_equals_live_state(tmp_path_factory, ops):
     for op in ops:
         apply_operation(lms, clock, checkpointer, op)
     journal.sync()
+    snapshots = checkpoint_files(wal_dir)
+    if tear and snapshots:
+        newest = snapshots[-1]
+        newest.write_bytes(newest.read_bytes()[: newest.stat().st_size // 2])
+        older = snapshots[-2] if len(snapshots) > 1 else None
+        covered = int(older.stem.split("-")[1]) if older else 0
+        segments = segment_files(wal_dir)
+        if segments and segment_first_lsn(segments[0]) > covered + 1:
+            with pytest.raises(StoreError, match="retired"):
+                recover(wal_dir)
+            journal.close()
+            return
     report = recover(wal_dir)
     assert state_fingerprint(report.lms) == state_fingerprint(lms)
     journal.close()

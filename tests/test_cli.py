@@ -183,17 +183,19 @@ class TestServe:
         from repro.lms.persistence import save_lms
         from repro.sim.workloads import classroom_exam
 
-        # a pre-existing state file the server must restore at boot
+        # migration of a save_lms state file: placed in a WAL directory
+        # as the checkpoint covering LSN 0, it is what the server boots
         lms = Lms()
         lms.offer_exam(classroom_exam(3))
         lms.register_learner(Learner(learner_id="amy", name="Amy"))
-        state = tmp_path / "lms.json"
-        save_lms(lms, state)
+        wal_dir = tmp_path / "wal"
+        wal_dir.mkdir()
+        save_lms(lms, wal_dir / "checkpoint-00000000000000000000.json")
 
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
-                "--port", "0", "--state", str(state),
+                "--port", "0", "--wal-dir", str(wal_dir),
             ],
             stdout=subprocess.PIPE,
             text=True,
